@@ -102,16 +102,15 @@ EGERIA_SERVE=off cargo test -q --test golden_run
 # teardown must leak no threads. (~30-40s; seeds are pinned so a failure
 # reproduces exactly with the same command.)
 EGERIA_CHAOS_SEED=1337 cargo test -q --test chaos_soak
+# Serially too: the soaks' thread-leak baselines must not depend on which
+# test runs first or on what an earlier test left initialized.
+cargo test -q --test chaos_soak -- --test-threads=1
 
-# Cache v2 store gate (DESIGN §5j): the chunked backend must hold the
-# same golden-run fingerprint as flat (lossless is bit-exact), survive a
-# full traced quickstart, and the cache benchmark must emit a well-formed
-# BENCH_cache.json carrying the acceptance ratios (flat-vs-chunked
-# footprint and file count).
-EGERIA_CACHE_STORE=chunked cargo test -q --test golden_run
-EGERIA_CACHE_STORE=chunked cargo run --release --example quickstart >/dev/null
+# Activation store gate (DESIGN §5j): the cache benchmark must emit a
+# well-formed BENCH_cache.json with per-scenario footprint and codec
+# figures for both the lossless and the int8 store.
 (cd "$trace_dir" && cargo run --release -p egeria-bench \
     --manifest-path "$OLDPWD/Cargo.toml" --bin bench_cache -- --smoke >/dev/null)
-grep -q '"footprint_ratio"' "$trace_dir/BENCH_cache.json"
-grep -q '"file_ratio"' "$trace_dir/BENCH_cache.json"
+grep -q '"codec_ratio"' "$trace_dir/BENCH_cache.json"
+grep -q '"file_count"' "$trace_dir/BENCH_cache.json"
 grep -q '"chunked_int8"' "$trace_dir/BENCH_cache.json"

@@ -1,21 +1,18 @@
-//! Activation-cache backend benchmark: `BENCH_cache.json`.
+//! Activation-cache benchmark: `BENCH_cache.json`.
 //!
 //! Runs the same put-everything-then-read-everything workload against the
-//! three cache configurations that matter (DESIGN §5j):
+//! two store configurations that matter (DESIGN §5j):
 //!
-//! - **flat** — one serialized tensor file per sample (cache v1),
 //! - **chunked** — the egeria-store chunk/shard layout with the lossless
-//!   shuffle+LZ codec (bit-exact with flat),
+//!   shuffle+LZ codec (bit-exact),
 //! - **chunked_int8** — the same store with the opt-in lossy int8
 //!   re-quantization transform.
 //!
 //! The workload caches ReLU-sparse activations (about half the values are
 //! exact zeros, like real post-ReLU feature maps) so the codec sees
 //! realistic input. Each scenario reports put/get throughput, the on-disk
-//! footprint and file count, and the batch hit rate; the summary pins the
-//! two acceptance ratios (`footprint_ratio`, `file_ratio`: flat vs
-//! chunked) and the hit-rate delta. Pass `--smoke` for a fast small run
-//! with the same report shape.
+//! footprint and file count, the batch hit rate, and the codec ratio.
+//! Pass `--smoke` for a fast small run with the same report shape.
 
 use egeria_bench::write_json;
 use egeria_core::cache::ActivationCache;
@@ -48,12 +45,6 @@ struct Report {
     batch: usize,
     sample_floats: usize,
     scenarios: Vec<ScenarioReport>,
-    /// flat disk bytes / chunked (lossless) disk bytes — acceptance ≥ 2.
-    footprint_ratio: f64,
-    /// flat file count / chunked (lossless) file count — acceptance ≥ 10.
-    file_ratio: f64,
-    /// chunked hit rate − flat hit rate (must not be negative).
-    hit_rate_delta: f64,
 }
 
 /// A batch of post-ReLU-like conv activations, with the two kinds of
@@ -145,10 +136,7 @@ fn run_scenario(
     let (disk_bytes, file_count) = disk_usage(dir);
     let stats = cache.stats();
     let lookups = (stats.hits + stats.misses).max(1);
-    let codec_ratio = cache
-        .store_stats()
-        .map(|s| s.codec_ratio())
-        .unwrap_or(1.0);
+    let codec_ratio = cache.store_stats().codec_ratio();
     let report = ScenarioReport {
         name: name.to_string(),
         samples,
@@ -174,7 +162,7 @@ fn main() {
     let (channels, hw) = if smoke { (16, 16) } else { (32, 16) };
     let feat = channels * hw;
     // A small memory window forces the get phase onto the disk path —
-    // the number the backends actually differ on.
+    // the number the codecs actually differ on.
     let mem_batches = 2;
     eprintln!(
         "bench_cache{}: {samples} samples x {feat} floats, batch {batch}",
@@ -182,17 +170,6 @@ fn main() {
     );
 
     let mut scenarios = Vec::new();
-
-    let flat_dir = bench_dir("flat");
-    scenarios.push(run_scenario(
-        "flat",
-        ActivationCache::new(&flat_dir, mem_batches).expect("flat cache"),
-        &flat_dir,
-        samples,
-        batch,
-        channels,
-        hw,
-    ));
 
     let chunked_dir = bench_dir("chunked");
     scenarios.push(run_scenario(
@@ -225,16 +202,11 @@ fn main() {
         hw,
     ));
 
-    let flat = &scenarios[0];
-    let chunked = &scenarios[1];
     let report = Report {
         smoke,
         samples,
         batch,
         sample_floats: feat,
-        footprint_ratio: flat.disk_bytes as f64 / chunked.disk_bytes.max(1) as f64,
-        file_ratio: flat.file_count as f64 / chunked.file_count.max(1) as f64,
-        hit_rate_delta: chunked.hit_rate - flat.hit_rate,
         scenarios,
     };
     for s in &report.scenarios {
@@ -243,10 +215,6 @@ fn main() {
             s.name, s.put_samples_per_s, s.get_samples_per_s, s.disk_bytes, s.file_count, s.hit_rate, s.codec_ratio
         );
     }
-    eprintln!(
-        "footprint_ratio {:.2}x (>=2 expected), file_ratio {:.1}x (>=10 expected), hit_rate_delta {:+.4}",
-        report.footprint_ratio, report.file_ratio, report.hit_rate_delta
-    );
     write_json(Path::new("BENCH_cache.json"), &report).expect("write BENCH_cache.json");
     eprintln!("wrote BENCH_cache.json");
 }

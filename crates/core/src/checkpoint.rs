@@ -20,12 +20,14 @@
 //!
 //! Version history: v2 added the freeze-policy state block
 //! ([`crate::policy::PolicyState`]) to the freezer section. v3 appended
-//! the activation-cache backend kind (`cache_store`) so a resumed run can
-//! detect a backend switch and wipe the incompatible cache layout instead
-//! of silently recomputing against garbage files. Older files are still
-//! decodable — v1 freezer state upgrades with [`PolicyState::legacy`]
-//! (those runs were always paper-policy driven), and v≤2 upgrades with
-//! `cache_store = "flat"` (the only backend that existed).
+//! the activation-cache layout tag (`cache_store`), from when the cache
+//! had a flat one-file-per-sample backend beside the chunked store. The
+//! field is now legacy: every file this build writes says `"chunked"`,
+//! and a resumed run invalidates the cache when the tag says anything
+//! else. Older files are still decodable — v1 freezer state upgrades
+//! with [`PolicyState::legacy`] (those runs were always paper-policy
+//! driven), and v≤2 files decode with `cache_store = "flat"` (the only
+//! backend that existed).
 //!
 //! Atomicity protocol: the file is written to `<name>.tmp`, fsynced, then
 //! renamed over the final name — a crash mid-save leaves at most a stale
@@ -58,6 +60,9 @@ pub const FORMAT_VERSION: u8 = 3;
 /// Oldest container version this binary still decodes.
 pub const MIN_FORMAT_VERSION: u8 = 1;
 
+/// The v3 cache-layout tag every checkpoint this build writes carries.
+pub const CACHE_STORE: &str = "chunked";
+
 const HEADER_LEN: usize = 4 + 1 + 8 + 4;
 
 /// Checkpointing options for the trainer.
@@ -83,7 +88,7 @@ impl CheckpointOptions {
 }
 
 /// The complete persistent trainer state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TrainerCheckpoint {
     /// Model name, validated on resume.
     pub model_name: String,
@@ -120,10 +125,19 @@ pub struct TrainerCheckpoint {
     pub events: Vec<EventRecord>,
     /// Input bytes accumulated so far.
     pub input_bytes: u64,
-    /// Activation-cache backend name (`"flat"` / `"chunked"`) the run was
-    /// using; a resumed run on a different backend wipes the cache dir
-    /// instead of reading a foreign layout. v≤2 files decode as `"flat"`.
+    /// Legacy v3 cache-layout tag, as decoded from a file: `"flat"` for
+    /// v≤2 files and for v3 files from the flat-backend era. The encoder
+    /// ignores this field and always writes [`CACHE_STORE`].
     pub cache_store: String,
+}
+
+impl TrainerCheckpoint {
+    /// Whether the run that wrote this checkpoint cached activations in
+    /// the chunked store. When it did not, the cache dir holds a foreign
+    /// layout and a resumed run must invalidate it.
+    pub fn has_chunked_cache(&self) -> bool {
+        self.cache_store == CACHE_STORE
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -293,7 +307,7 @@ fn encode_payload(ckpt: &TrainerCheckpoint, version: u8) -> Vec<u8> {
     }
     out.put_u64_le(ckpt.input_bytes);
     if version >= 3 {
-        put_string(&mut out, &ckpt.cache_store);
+        put_string(&mut out, CACHE_STORE);
     }
     out
 }
@@ -955,17 +969,100 @@ mod tests {
         assert_eq!(f.policy, PolicyState::legacy());
     }
 
+    /// Trains a small ResNet for `epochs` with checkpoints in
+    /// `root/ckpt` and the activation cache in `root/cache`, resuming
+    /// from the newest checkpoint there.
+    fn train_with_checkpoints(root: &Path, epochs: usize) -> crate::trainer::TrainReport {
+        use crate::config::{EgeriaConfig, UnfreezePolicy};
+        use crate::trainer::{EgeriaTrainer, Optimizer, TrainerOptions};
+        use egeria_data::images::{ImageDataConfig, SyntheticImages};
+        use egeria_data::DataLoader;
+        use egeria_models::resnet::{resnet_cifar, ResNetCifarConfig};
+        use egeria_nn::optim::Sgd;
+        use egeria_nn::sched::MultiStepDecay;
+        let model = resnet_cifar(
+            ResNetCifarConfig {
+                n: 2,
+                width: 4,
+                classes: 4,
+                ..Default::default()
+            },
+            7,
+        );
+        let data = SyntheticImages::new(
+            ImageDataConfig {
+                samples: 64,
+                classes: 4,
+                size: 8,
+                noise: 0.3,
+                augment: true,
+            },
+            11,
+        );
+        let loader = DataLoader::new(64, 16, 13, true);
+        let mut trainer = EgeriaTrainer::new(
+            Box::new(model),
+            Optimizer::Sgd(Sgd::new(0.05, 0.9, 1e-4)),
+            Box::new(MultiStepDecay::new(0.05, 0.1, vec![usize::MAX])),
+            TrainerOptions {
+                epochs,
+                egeria: Some(EgeriaConfig {
+                    n: 2,
+                    w: 3,
+                    s: 2,
+                    t: 5.0,
+                    bootstrap_rate: 0.9,
+                    unfreeze: UnfreezePolicy::Never,
+                    ..Default::default()
+                }),
+                cache_dir: Some(root.join("cache")),
+                checkpoint: Some(CheckpointOptions::new(root.join("ckpt"))),
+                ..Default::default()
+            },
+        );
+        trainer.train(&data, &loader, None).unwrap()
+    }
+
     #[test]
-    fn format_v2_checkpoints_decode_as_flat_cache_store() {
-        let c = tiny_checkpoint();
-        let v2_bytes = to_bytes_versioned(&c, 2);
-        let back = from_bytes(&v2_bytes).unwrap();
-        // Everything up to the v3 field survives; the backend kind
-        // upgrades to the only one v2 runs could have used.
-        assert_eq!(back.model_name, c.model_name);
-        assert_eq!(back.freezer, c.freezer);
-        assert_eq!(back.input_bytes, c.input_bytes);
-        assert_eq!(back.cache_store, "flat");
+    fn resuming_a_pre_chunked_checkpoint_invalidates_the_cache() {
+        // By epoch 13 the frozen prefix has held long enough that the
+        // epoch's cached lookups are all served from the store.
+        let root = tmp_dir("pre_chunked_resume");
+        let first = train_with_checkpoints(&root, 13);
+        assert!(first.iterations.last().unwrap().frozen_prefix > 0);
+
+        // Control: resuming from the current checkpoint keeps the
+        // persisted store, so every lookup of the resumed epoch hits.
+        let control = train_with_checkpoints(&root, 14);
+        assert!(control.cache_stats.hits > 0);
+        assert_eq!(control.cache_stats.misses, 0);
+        assert_eq!(control.cache_stats.disk_bytes_written, 0);
+
+        // Rewrite the checkpoint the control resumed from as v2 (every v2
+        // file predates the chunked store) and drop the newer one.
+        let mut store = CheckpointStore::open(root.join("ckpt"), 3).unwrap();
+        fs::remove_file(store.path_of(13)).unwrap();
+        let ckpt = store.load_latest().unwrap();
+        assert_eq!(ckpt.next_epoch, 13);
+        assert!(ckpt.has_chunked_cache());
+        fs::write(store.path_of(12), to_bytes_versioned(&ckpt, 2)).unwrap();
+        let legacy = store.load_latest().unwrap();
+        assert_eq!(legacy.cache_store, "flat");
+        assert!(!legacy.has_chunked_cache());
+
+        // The same resume now invalidates the cache: its lookups miss and
+        // the recompute refills the store.
+        let resumed = train_with_checkpoints(&root, 14);
+        assert_eq!(resumed.cache_stats.hits, 0);
+        assert_eq!(resumed.cache_stats.misses, control.cache_stats.hits);
+        assert!(resumed.cache_stats.disk_bytes_written > 0);
+        assert_eq!(resumed.cache_stats.corrupt_entries, 0);
+        // The refilled store serves the next resume again.
+        fs::remove_file(store.path_of(13)).unwrap();
+        store.save(&ckpt).unwrap();
+        let again = train_with_checkpoints(&root, 14);
+        assert!(again.cache_stats.hits > 0);
+        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]

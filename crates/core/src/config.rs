@@ -100,56 +100,7 @@ impl PolicyKind {
 /// Default freeze period of [`PolicyKind::Interval`] when none is given.
 pub const DEFAULT_INTERVAL_EVERY: usize = 5;
 
-/// Which backend the activation cache persists to (DESIGN §5j). Flat is
-/// the original one-file-per-sample layout; chunked is the egeria-store
-/// chunk/shard layout. Both are bit-exact under a lossless codec, so the
-/// golden run pins the same fingerprint either way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CacheStoreKind {
-    /// One serialized tensor file per sample in a flat directory.
-    #[default]
-    Flat,
-    /// Chunked + compressed + sharded store (`egeria-store`).
-    Chunked,
-}
-
-impl CacheStoreKind {
-    /// Stable short name, used in reports, checkpoints, and bench JSON.
-    pub fn name(&self) -> &'static str {
-        match self {
-            CacheStoreKind::Flat => "flat",
-            CacheStoreKind::Chunked => "chunked",
-        }
-    }
-
-    /// Parses the `EGERIA_CACHE_STORE` syntax (`"flat" | "chunked"`).
-    pub fn parse(s: &str) -> Option<CacheStoreKind> {
-        match s.trim() {
-            "flat" => Some(CacheStoreKind::Flat),
-            "chunked" => Some(CacheStoreKind::Chunked),
-            _ => None,
-        }
-    }
-
-    /// Reads the `EGERIA_CACHE_STORE` override; `None` when unset. An
-    /// unparsable value is reported once and ignored rather than aborting
-    /// training.
-    pub fn from_env() -> Option<CacheStoreKind> {
-        let raw = std::env::var("EGERIA_CACHE_STORE").ok()?;
-        match CacheStoreKind::parse(&raw) {
-            Some(k) => Some(k),
-            None => {
-                eprintln!(
-                    "egeria: ignoring unparsable EGERIA_CACHE_STORE={raw:?} \
-                     (expected flat|chunked)"
-                );
-                None
-            }
-        }
-    }
-}
-
-/// Reads the `EGERIA_CACHE_DISK_MB` live-byte cap for the chunked store;
+/// Reads the `EGERIA_CACHE_DISK_MB` live-byte cap for the activation store;
 /// `None` when unset (unbounded). Zero or unparsable values are reported
 /// and ignored.
 pub fn cache_disk_mb_from_env() -> Option<u64> {
@@ -220,13 +171,10 @@ pub struct EgeriaConfig {
     /// Freeze/unfreeze decision policy (DESIGN §5i). Overridable at run
     /// time via `EGERIA_FREEZE_POLICY` in the trainer.
     pub policy: PolicyKind,
-    /// Activation-cache backend (DESIGN §5j). Overridable at run time via
-    /// `EGERIA_CACHE_STORE` in the trainer.
-    pub cache_store: CacheStoreKind,
-    /// Codec chain for the chunked backend (ignored by flat). Overridable
-    /// via `EGERIA_CACHE_CODEC`.
+    /// Codec chain of the activation store (DESIGN §5j). Overridable via
+    /// `EGERIA_CACHE_CODEC`.
     pub cache_codec: egeria_store::StoreCodec,
-    /// Live on-disk byte cap for the chunked backend, in megabytes
+    /// Live on-disk byte cap of the activation store, in megabytes
     /// (`None` = unbounded). Overridable via `EGERIA_CACHE_DISK_MB`.
     pub cache_disk_mb: Option<u64>,
 }
@@ -247,7 +195,6 @@ impl Default for EgeriaConfig {
             controller: ControllerMode::Sync,
             cpu_load_gate: 0.5,
             policy: PolicyKind::Paper,
-            cache_store: CacheStoreKind::Flat,
             cache_codec: egeria_store::StoreCodec::Lossless,
             cache_disk_mb: None,
         }
@@ -313,19 +260,10 @@ mod tests {
     }
 
     #[test]
-    fn cache_store_kind_parses_all_spellings() {
-        assert_eq!(CacheStoreKind::parse("flat"), Some(CacheStoreKind::Flat));
-        assert_eq!(
-            CacheStoreKind::parse(" chunked "),
-            Some(CacheStoreKind::Chunked)
-        );
-        assert_eq!(CacheStoreKind::parse("zarr"), None);
+    fn cache_defaults_are_lossless_and_unbounded() {
         let c = EgeriaConfig::default();
-        assert_eq!(c.cache_store, CacheStoreKind::Flat);
         assert_eq!(c.cache_codec, egeria_store::StoreCodec::Lossless);
         assert_eq!(c.cache_disk_mb, None);
-        assert_eq!(CacheStoreKind::Flat.name(), "flat");
-        assert_eq!(CacheStoreKind::Chunked.name(), "chunked");
     }
 
     #[test]

@@ -651,8 +651,8 @@ impl EgeriaTrainer {
                 if (epoch + 1) % every == 0 || epoch + 1 == self.options.epochs {
                     // Flush the activation store alongside the model
                     // checkpoint so a resumed run reopens a consistent
-                    // cache (chunked backend; flat is a no-op). Failure is
-                    // a degradation — the resume recomputes — never fatal.
+                    // cache. Failure is a degradation — the resume
+                    // recomputes — never fatal.
                     if let Some(c) = cache.as_mut() {
                         if let Err(e) = c.persist() {
                             eprintln!(
@@ -668,7 +668,6 @@ impl EgeriaTrainer {
                         &freezer,
                         &refmgr,
                         &report,
-                        &cache,
                     );
                     let save_span = telemetry
                         .span("checkpoint_save")
@@ -686,9 +685,9 @@ impl EgeriaTrainer {
             }
         }
         if let Some(mut c) = cache {
-            // Flush the chunked store at the run boundary (no-op on flat):
-            // the on-disk state stays consistent for a later resume and the
-            // reported disk-byte stats reflect what actually landed.
+            // Flush the store at the run boundary: the on-disk state stays
+            // consistent for a later resume and the reported disk-byte
+            // stats reflect what actually landed.
             if let Err(e) = c.persist() {
                 eprintln!("egeria: cache persist failed at end of training: {e}");
             }
@@ -790,7 +789,6 @@ impl EgeriaTrainer {
         freezer: &Option<FreezingEngine>,
         refmgr: &Option<ReferenceManager>,
         report: &TrainReport,
-        cache: &Option<ActivationCache>,
     ) -> TrainerCheckpoint {
         let params = self.model.params();
         let optimizer = self.optimizer.export_state(&params);
@@ -819,10 +817,7 @@ impl EgeriaTrainer {
             plasticity: report.plasticity.clone(),
             events: report.events.clone(),
             input_bytes: report.input_bytes,
-            cache_store: cache
-                .as_ref()
-                .map(|c| c.store_kind().name().to_string())
-                .unwrap_or_else(|| "flat".to_string()),
+            ..Default::default()
         }
     }
 
@@ -949,18 +944,12 @@ impl EgeriaTrainer {
                 }
             }
         }
-        // Cache backend continuity: if the run that wrote this checkpoint
-        // used a different cache backend, the on-disk layout in the cache
-        // dir belongs to the other world (flat sample files vs chunked
-        // shards). Wipe it so the resumed run starts from a clean cache
-        // instead of carrying dead files alongside the new layout.
-        if let Some(c) = cache.as_mut() {
-            if c.store_kind().name() != ckpt.cache_store {
-                eprintln!(
-                    "egeria: cache backend changed across resume ({} -> {}); invalidating cache",
-                    ckpt.cache_store,
-                    c.store_kind().name()
-                );
+        // A checkpoint from before the chunked store was the only cache
+        // backend (every v<=2 file, and v3 files that say "flat") left a
+        // foreign layout in the cache dir: start from a clean cache.
+        if !ckpt.has_chunked_cache() {
+            if let Some(c) = cache.as_mut() {
+                eprintln!("egeria: checkpoint predates the chunked cache; invalidating cache");
                 c.invalidate();
             }
         }

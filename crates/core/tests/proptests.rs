@@ -121,13 +121,16 @@ fn random_checkpoint(seed: u64) -> TrainerCheckpoint {
     }
 }
 
+/// Whether `b` (decoded) carries everything `a` (encoded) held. The
+/// legacy cache-layout tag is the exception: the encoder always records
+/// the chunked layout, whatever `a` says.
 fn checkpoints_equal(a: &TrainerCheckpoint, b: &TrainerCheckpoint) -> bool {
     a.model_name == b.model_name
         && a.next_epoch == b.next_epoch
         && a.global_step == b.global_step
         && a.evals_since_ref_update == b.evals_since_ref_update
         && a.frozen_prefix == b.frozen_prefix
-        && a.cache_store == b.cache_store
+        && b.cache_store == checkpoint::CACHE_STORE
         && a.params == b.params
         && a.state_buffers == b.state_buffers
         && a.optimizer.kind == b.optimizer.kind

@@ -169,7 +169,7 @@ impl ResilienceStat {
 
 /// Chunked activation-store (cache v2) aggregates from the `store.*`
 /// counters and gauges egeria-store mirrors into telemetry. All zero when
-/// the run used the flat cache backend.
+/// the run never touched the store (cache off, or nothing froze).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CacheV2Stat {
     /// Chunk blocks written to shard files (`store.chunks_written`).
@@ -234,7 +234,8 @@ pub struct TraceSummary {
     pub serve: ServeBatchStat,
     /// Resilience-layer aggregates (breaker, watchdogs, health).
     pub resilience: ResilienceStat,
-    /// Chunked activation-store aggregates (cache v2; zero when flat).
+    /// Chunked activation-store aggregates (cache v2; zero when the store
+    /// was never touched).
     pub cache_v2: CacheV2Stat,
     /// Final counter snapshot, name-sorted.
     pub counters: Vec<(String, u64)>,
@@ -587,7 +588,7 @@ pub fn render(summary: &TraceSummary) -> String {
     }
     let _ = writeln!(out, "\n== cache v2 ==");
     if !summary.cache_v2.any() {
-        let _ = writeln!(out, "(no chunked-store activity recorded; flat backend or cache off)");
+        let _ = writeln!(out, "(no chunked-store activity recorded; cache off or nothing froze)");
     } else {
         let c = &summary.cache_v2;
         let _ = writeln!(

@@ -1,8 +1,9 @@
-//! Chunked, compressed, sharded activation store — the cache v2 backend.
+//! Chunked, compressed, sharded activation store — the disk layer of the
+//! frozen-prefix activation cache (cache v2).
 //!
-//! The flat activation cache writes one file per sample: at the millions
-//! of cached samples the paper's training-loop savings (§4.3) imply, that
-//! is millions of inodes of incompressible f32. This crate stores
+//! One file per cached sample would mean, at the millions of cached
+//! samples the paper's training-loop savings (§4.3) imply, millions of
+//! inodes of incompressible f32. This crate stores
 //! activations the way chunked array stores (zarr, and zarrs' codec
 //! pipeline in particular) do:
 //!
@@ -21,8 +22,8 @@
 //!
 //! The load-bearing contract: **lossless configurations are bit-exact**
 //! (`get` returns the identical f32 bits `put` stored), which is what
-//! lets the chunked cache reproduce the flat cache's golden-run
-//! fingerprint. Corruption anywhere — a flipped shard byte, a truncated
+//! keeps cached-FP training bit-identical to recomputing the frozen
+//! prefix. Corruption anywhere — a flipped shard byte, a truncated
 //! extent, a bad manifest — quarantines exactly one chunk (or degrades
 //! open to an empty store) and reads as a miss, never an abort.
 

@@ -4,8 +4,7 @@
 //! shard files at once (a shuffled batch of 32 ids can straddle a handful
 //! of chunks). Reading them sequentially serializes on disk latency; the
 //! pool fans the extent reads across a few worker threads instead, which
-//! is what lets the existing prefetcher hide chunk decode + I/O behind
-//! compute in chunked mode just as it hides flat-file reads today.
+//! is what lets the prefetcher hide chunk decode + I/O behind compute.
 //!
 //! Determinism: workers race on I/O only. Results are slotted back by
 //! request index, so the caller always sees them in request order no

@@ -16,7 +16,7 @@
 //! garbage inside the shard until compaction folds the shard down to its
 //! live chunks.
 //!
-//! Degradation contract (mirrors the flat cache, at chunk granularity):
+//! Degradation contract (at chunk granularity):
 //! a chunk that cannot be materialized — unreadable extent, CRC mismatch,
 //! codec or block decode failure — is **quarantined**: its manifest entry
 //! is dropped, `corrupt_chunks` counts one, its samples read as misses,

@@ -123,3 +123,80 @@ fn cache_round_trip_preserves_training_equivalence() {
     let r2 = m.train_step_from(&b, prefix, &loaded, None).unwrap();
     assert!((r.loss - r2.loss).abs() < 1e-6);
 }
+
+#[test]
+fn trained_run_serves_cache_hits_from_shard_files() {
+    // The trainer's cached-FP path end to end: once the frozen prefix
+    // stabilises, lookups hit, the activations went through the store's
+    // write accounting, and the cache dir holds shard files rather than
+    // one file per sample.
+    use egeria_core::trainer::{EgeriaTrainer, Optimizer, TrainerOptions};
+    use egeria_core::EgeriaConfig;
+    use egeria_data::images::{ImageDataConfig, SyntheticImages};
+    use egeria_data::DataLoader;
+    use egeria_nn::sched::MultiStepDecay;
+    let dir = std::env::temp_dir().join(format!("egeria_it_run_cache_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let model = resnet_cifar(
+        ResNetCifarConfig {
+            n: 2,
+            width: 4,
+            classes: 4,
+            ..Default::default()
+        },
+        7,
+    );
+    let mut trainer = EgeriaTrainer::new(
+        Box::new(model),
+        Optimizer::Sgd(Sgd::new(0.05, 0.9, 0.0)),
+        Box::new(MultiStepDecay::new(0.05, 0.1, vec![5])),
+        TrainerOptions {
+            // Long enough for the frozen prefix to hold for several
+            // epochs, so the cache serves hits and not just fills.
+            epochs: 14,
+            egeria: Some(EgeriaConfig {
+                n: 2,
+                w: 3,
+                s: 2,
+                t: 5.0,
+                bootstrap_rate: 0.9,
+                reference_update_every: 4,
+                ..Default::default()
+            }),
+            cache_dir: Some(dir.clone()),
+            ..Default::default()
+        },
+    );
+    let data = SyntheticImages::new(
+        ImageDataConfig {
+            samples: 64,
+            classes: 4,
+            size: 8,
+            noise: 0.3,
+            augment: true,
+        },
+        2,
+    );
+    let loader = DataLoader::new(64, 16, 3, true);
+    let report = trainer.train(&data, &loader, None).expect("run trains");
+
+    assert!(!report.events.is_empty(), "nothing froze; the cache was never used");
+    assert!(report.cache_stats.hits > 0, "the run served no cache hits");
+    assert!(report.cache_stats.disk_bytes_written > 0);
+    let names: Vec<String> = std::fs::read_dir(&dir)
+        .expect("cache dir exists")
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect();
+    assert!(
+        names.iter().any(|n| n.ends_with(".egs")),
+        "no shard files in {}: {names:?}",
+        dir.display()
+    );
+    assert!(
+        !names.iter().any(|n| n.starts_with("sample_")),
+        "per-sample files in {}: {names:?}",
+        dir.display()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -34,7 +34,7 @@ use egeria_nn::optim::Sgd;
 use egeria_nn::sched::MultiStepDecay;
 use egeria_resil::{ChaosPlan, FaultInjector, FaultSite, HealthMonitor};
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Serializes the soak tests within this binary: each one measures thread
@@ -61,6 +61,21 @@ fn thread_count() -> usize {
                 .and_then(|n| n.parse().ok())
         })
         .unwrap_or(0)
+}
+
+/// The thread count a leak check compares against. Touches the lazily
+/// created global tensor pool first: its persistent workers live for the
+/// whole process, so they belong in the baseline rather than counting as
+/// a leak of whichever soak first runs a kernel.
+fn thread_baseline() -> usize {
+    egeria_tensor::ThreadPool::global();
+    thread_count()
+}
+
+/// Takes the soak lock even if an earlier soak panicked while holding it,
+/// so one defect shows up as one failing test rather than four.
+fn soak_lock() -> MutexGuard<'static, ()> {
+    SOAK_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Spins until the process thread count returns to `baseline` (detached
@@ -204,7 +219,7 @@ fn fingerprint(r: &TrainReport) -> String {
 /// fault-free run, at the base seed and a sibling seed.
 #[test]
 fn fallback_covered_faults_preserve_loss_bit_identity() {
-    let _guard = SOAK_LOCK.lock().unwrap();
+    let _guard = soak_lock();
     let clean = soak(None, ControllerMode::Sync, "clean");
     let golden = fingerprint(&clean.report);
     assert!(
@@ -213,7 +228,7 @@ fn fallback_covered_faults_preserve_loss_bit_identity() {
     );
     // Worker/engine threads from the warmup run are down; everything the
     // chaos runs spawn must be gone again by the end.
-    let baseline = thread_count();
+    let baseline = thread_baseline();
 
     for (label, seed) in [
         ("base", chaos_seed()),
@@ -264,7 +279,7 @@ fn fallback_covered_faults_preserve_loss_bit_identity() {
 /// with its reasons — at two seeds.
 #[test]
 fn full_chaos_degrades_gracefully_and_never_aborts() {
-    let _guard = SOAK_LOCK.lock().unwrap();
+    let _guard = soak_lock();
     let mut baseline = 0usize;
 
     for (label, seed) in [
@@ -276,7 +291,7 @@ fn full_chaos_degrades_gracefully_and_never_aborts() {
         if baseline == 0 {
             // Taken after the first run so lazily-spawned process-lifetime
             // threads (if any) are excluded from the leak accounting.
-            baseline = thread_count();
+            baseline = thread_baseline();
         }
         assert!(
             run.faults.as_ref().unwrap().injected_total() > 0,
@@ -326,7 +341,7 @@ fn full_chaos_degrades_gracefully_and_never_aborts() {
 /// fault counts (sync controller — async is load-dependent by design).
 #[test]
 fn full_chaos_run_is_reproducible_at_a_fixed_seed() {
-    let _guard = SOAK_LOCK.lock().unwrap();
+    let _guard = soak_lock();
     let plan = ChaosPlan::full(chaos_seed());
     let a = soak(Some(&plan), ControllerMode::Sync, "repro_a");
     let b = soak(Some(&plan), ControllerMode::Sync, "repro_b");
@@ -350,9 +365,9 @@ fn full_chaos_run_is_reproducible_at_a_fixed_seed() {
 /// degradation — not bit-identity — is asserted.
 #[test]
 fn async_controller_survives_full_chaos() {
-    let _guard = SOAK_LOCK.lock().unwrap();
+    let _guard = soak_lock();
     let plan = ChaosPlan::full(chaos_seed());
-    let baseline = thread_count();
+    let baseline = thread_baseline();
     let run = soak(Some(&plan), ControllerMode::Async, "async_full");
     for e in &run.report.epochs {
         assert!(e.train_loss.is_finite());
